@@ -357,14 +357,17 @@ fn measure_recovery(out: &mut FigureOutput) -> Vec<RecoveryRow> {
         machine.load_program(w.program.clone());
         machine
     };
-    let write_ckpt = |machine: &Machine| -> usize {
-        let bytes = machine.snapshot().to_bytes();
+    // Encoded straight from the machine into one reused buffer, as the
+    // service's checkpoint writer does.
+    let mut buf = Vec::new();
+    let mut write_ckpt = |machine: &Machine| -> usize {
+        machine.write_snapshot(&mut buf);
         let path = dir.join("ckpt.snap");
         let tmp = dir.join("ckpt.snap.tmp");
-        std::fs::write(&tmp, &bytes)
+        std::fs::write(&tmp, &buf)
             .and_then(|()| std::fs::rename(&tmp, &path))
             .expect("write checkpoint");
-        bytes.len()
+        buf.len()
     };
 
     out.line(format!(
@@ -427,7 +430,7 @@ fn measure_recovery(out: &mut FigureOutput) -> Vec<RecoveryRow> {
         let crash_at = total_cycles * 3 / 5;
         let mut machine = fresh(kernel);
         let mut run = SlicedRun::new(&machine);
-        let mut last = (machine.snapshot().to_bytes(), 0u64);
+        let mut last = (machine.snapshot_bytes(), 0u64);
         while machine.cycle() < crash_at {
             if machine
                 .run_for(&mut run, RECOVERY_CADENCE)
@@ -437,7 +440,7 @@ fn measure_recovery(out: &mut FigureOutput) -> Vec<RecoveryRow> {
                 break;
             }
             if machine.cycle() < crash_at {
-                last = (machine.snapshot().to_bytes(), machine.cycle());
+                last = (machine.snapshot_bytes(), machine.cycle());
             }
         }
         let crash_cycle = machine.cycle();
@@ -587,18 +590,19 @@ fn measure_fleet_recovery(out: &mut FigureOutput) -> Vec<FleetCkptRow> {
             let jobs = make_jobs();
             let (mut n_ck, mut n_bytes) = (0u64, 0u64);
             let mut cycles = vec![0u64; params.len()];
+            let mut buf = Vec::new();
             let t0 = Instant::now();
             fleet().run_each_supervised(
                 jobs,
                 |i, machine| {
-                    let bytes = machine.snapshot().to_bytes();
+                    machine.write_snapshot(&mut buf);
                     let path = dir.join(format!("job{i}.ckpt"));
                     let tmp = dir.join(format!("job{i}.ckpt.tmp"));
-                    std::fs::write(&tmp, &bytes)
+                    std::fs::write(&tmp, &buf)
                         .and_then(|()| std::fs::rename(&tmp, &path))
                         .expect("write fleet checkpoint");
                     n_ck += 1;
-                    n_bytes += bytes.len() as u64;
+                    n_bytes += buf.len() as u64;
                     PauseCtl::Continue
                 },
                 |i, _, r| {

@@ -32,4 +32,4 @@ mod unit;
 pub use config::GlscConfig;
 pub use gsu::{Gsu, GsuCompletion, GsuKind, GsuStats};
 pub use lsu::{Lsu, LsuAction, LsuCompletion, LsuEntry, LsuStats};
-pub use unit::{CoreMemUnit, CoreMemUnitSnapshot, MemCompletion};
+pub use unit::{CoreMemUnit, MemCompletion};

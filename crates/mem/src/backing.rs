@@ -89,6 +89,22 @@ impl Backing {
         self.base = base;
     }
 
+    /// Makes this store an exact copy of `src`: the same private pages
+    /// (copied into pages already allocated here where both hold one) and
+    /// the same base layer, shared.
+    pub(crate) fn restore_from(&mut self, src: &Self) {
+        self.pages.retain(|k, _| src.pages.contains_key(k));
+        for (&k, page) in &src.pages {
+            match self.pages.get_mut(&k) {
+                Some(dst) => dst.copy_from_slice(&page[..]),
+                None => {
+                    self.pages.insert(k, page.clone());
+                }
+            }
+        }
+        self.base.clone_from(&src.base);
+    }
+
     #[inline]
     fn split(addr: u64) -> (u64, usize) {
         (addr >> PAGE_SHIFT, (addr as usize) & (PAGE_BYTES - 1))

@@ -448,4 +448,43 @@ impl glsc_wire::Wire for ReservationStore {
     }
 }
 
-glsc_wire::wire_struct!(L1Cache { tags, reservations });
+impl L1Cache {
+    /// Makes this cache an exact copy of `src`, reusing its tag-set
+    /// allocations (see [`TagArray::restore_from`]).
+    pub(crate) fn restore_from(&mut self, src: &Self) {
+        let Self { tags, reservations } = self;
+        tags.restore_from(&src.tags);
+        reservations.clone_from(&src.reservations);
+    }
+
+    /// Appends the snapshot encoding (sparse tags, then reservations).
+    pub(crate) fn encode(&self, w: &mut glsc_wire::Writer) {
+        use glsc_wire::Wire;
+        let Self { tags, reservations } = self;
+        tags.encode(w);
+        reservations.encode(w);
+    }
+
+    /// Decodes a cache shaped by `cfg`: its geometry, and a reservation
+    /// store of the configured kind and capacity.
+    pub(crate) fn decode_for(
+        r: &mut glsc_wire::Reader<'_>,
+        cfg: &crate::MemConfig,
+    ) -> Result<Self, glsc_wire::WireError> {
+        use glsc_wire::Wire;
+        let tags = TagArray::decode_shaped(r, cfg.l1_sets(), cfg.l1_assoc, cfg.line_bytes)?;
+        let at = r.pos();
+        let reservations = ReservationStore::decode(r)?;
+        let cap = match &reservations {
+            ReservationStore::PerLine => None,
+            ReservationStore::Buffer { cap, .. } => Some(*cap),
+        };
+        if cap != cfg.glsc_buffer_entries {
+            return Err(glsc_wire::WireError::Invalid {
+                at,
+                what: "reservation store kind",
+            });
+        }
+        Ok(Self { tags, reservations })
+    }
+}

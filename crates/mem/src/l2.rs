@@ -109,4 +109,51 @@ glsc_wire::wire_struct!(L2Payload {
     dirty,
     ready_at,
 });
-glsc_wire::wire_struct!(L2Bank { tags, busy });
+impl L2Bank {
+    /// Makes this bank an exact copy of `src`, reusing its tag-set
+    /// allocations (see [`TagArray::restore_from`]).
+    pub(crate) fn restore_from(&mut self, src: &Self) {
+        let Self { tags, busy } = self;
+        tags.restore_from(&src.tags);
+        *busy = src.busy;
+    }
+
+    /// Appends the snapshot encoding (sparse tags, then the horizon).
+    pub(crate) fn encode(&self, w: &mut glsc_wire::Writer) {
+        use glsc_wire::Wire;
+        let Self { tags, busy } = self;
+        tags.encode(w);
+        busy.encode(w);
+    }
+
+    /// Decodes a bank shaped by `cfg` in a system of `cores` cores: its
+    /// geometry, and directory entries that name only existing cores.
+    pub(crate) fn decode_for(
+        r: &mut glsc_wire::Reader<'_>,
+        cfg: &crate::MemConfig,
+        cores: usize,
+    ) -> Result<Self, glsc_wire::WireError> {
+        use glsc_wire::Wire;
+        let at = r.pos();
+        let tags: TagArray<L2Payload> =
+            TagArray::decode_shaped(r, cfg.l2_sets_per_bank(), cfg.l2_assoc, cfg.line_bytes)?;
+        let present = if cores >= 32 {
+            u32::MAX
+        } else {
+            (1u32 << cores) - 1
+        };
+        if tags
+            .iter()
+            .any(|(_, d)| d.sharers & !present != 0 || d.owner.is_some_and(|o| o as usize >= cores))
+        {
+            return Err(glsc_wire::WireError::Invalid {
+                at,
+                what: "directory entry naming a missing core",
+            });
+        }
+        Ok(Self {
+            tags,
+            busy: Wire::decode(r)?,
+        })
+    }
+}

@@ -498,6 +498,7 @@ mod tests {
 
     #[test]
     fn submit_run_streams_result_and_summary() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("basic");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();
@@ -542,6 +543,7 @@ mod tests {
 
     #[test]
     fn overflow_is_shed_and_bad_frames_get_typed_errors() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("shed");
         let cfg = small_cfg(&dir); // capacity 2
         let mut input = Vec::new();
@@ -606,6 +608,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_still_runs_accepted_jobs_durably() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("trunc");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();
@@ -654,6 +657,7 @@ mod tests {
 
     #[test]
     fn unbuildable_spec_fails_typed_instead_of_panicking() {
+        let _term = crate::signal::term_shared_for_tests();
         // A spec that skipped validation (journal bytes admitted by a
         // looser build) must lower to a typed error, never a panic.
         let mut hostile = hip_spec();
@@ -668,6 +672,7 @@ mod tests {
 
     #[test]
     fn queue_entry_that_no_longer_lowers_streams_a_typed_failure() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("lower");
         let cfg = small_cfg(&dir);
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
@@ -719,6 +724,7 @@ mod tests {
 
     #[test]
     fn tso_job_runs_under_tso_and_keys_its_own_id() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("tso");
         let cfg = small_cfg(&dir);
         let mut spec = hip_spec();
@@ -755,6 +761,7 @@ mod tests {
 
     #[test]
     fn shutdown_leaves_queued_jobs_pending_for_next_start() {
+        let _term = crate::signal::term_shared_for_tests();
         let dir = tmp_dir("pending");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();

@@ -48,3 +48,25 @@ pub fn request_term() {
 pub fn clear_term_for_tests() {
     TERM.store(false, Ordering::SeqCst);
 }
+
+/// Serializes tests around the process-global drain flag. A test that
+/// raises it holds the write side; every other test that runs the
+/// supervisor holds the read side, so none of them sees a stray drain.
+#[cfg(test)]
+static TERM_TEST_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Read side of the drain-flag test lock (see `TERM_TEST_LOCK`).
+#[cfg(test)]
+pub(crate) fn term_shared_for_tests() -> std::sync::RwLockReadGuard<'static, ()> {
+    TERM_TEST_LOCK
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Write side of the drain-flag test lock (see `TERM_TEST_LOCK`).
+#[cfg(test)]
+pub(crate) fn term_exclusive_for_tests() -> std::sync::RwLockWriteGuard<'static, ()> {
+    TERM_TEST_LOCK
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

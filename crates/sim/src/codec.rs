@@ -33,7 +33,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GLSCSNAP";
 /// and recovery falls back to a fresh run instead of resuming garbage.
 /// v2: memory-order axis — `MemConfig.memory_order`, LSU write buffers
 /// and drain counters, oracle state (DESIGN.md §17).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// v3: sparse tag arrays — geometry, LRU stamp and only the non-empty
+/// sets; the L2 bank count is implied by the memory configuration.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+
+/// Magic + version + payload length.
+const HEADER: usize = 8 + 4 + 8;
 
 /// Why a byte string failed to decode as a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,14 +108,8 @@ impl MachineSnapshot {
     /// round-trip is bit-identical (pinned by `tests/snapshot_codec.rs`
     /// for every kernel × Fig. 6 shape, fault plans included).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = glsc_wire::to_bytes(self);
-        let mut out = Vec::with_capacity(payload.len() + 28);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
-        let checksum = glsc_wire::fnv64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let mut out = Vec::new();
+        seal(&mut out, |w| glsc_wire::Wire::encode(self, w));
         out
     }
 
@@ -122,7 +121,6 @@ impl MachineSnapshot {
     /// [`SnapshotCodecError`] naming the first problem; see the variants
     /// for the recovery semantics each implies.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotCodecError> {
-        const HEADER: usize = 8 + 4 + 8;
         if bytes.len() >= 8 && bytes[..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotCodecError::BadMagic);
         }
@@ -164,6 +162,23 @@ impl MachineSnapshot {
         }
         glsc_wire::from_bytes(&body[HEADER..]).map_err(SnapshotCodecError::Malformed)
     }
+}
+
+/// Writes a whole envelope into `out`, replacing its contents: header
+/// with a placeholder length, the payload `encode` appends, then the
+/// length patched in place and the checksum. One buffer, no payload copy.
+pub(crate) fn seal(out: &mut Vec<u8>, encode: impl FnOnce(&mut glsc_wire::Writer)) {
+    out.clear();
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u64.to_le_bytes());
+    let mut w = glsc_wire::Writer::from_vec(std::mem::take(out));
+    encode(&mut w);
+    *out = w.into_bytes();
+    let len = (out.len() - HEADER) as u64;
+    out[12..HEADER].copy_from_slice(&len.to_le_bytes());
+    let checksum = glsc_wire::fnv64(out);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ pub struct Core {
 #[derive(Clone, Debug)]
 pub(crate) struct CoreSnapshot {
     threads: Vec<Thread>,
-    memunit: glsc_core::CoreMemUnitSnapshot,
+    memunit: CoreMemUnit,
     records: Vec<IssueRecord>,
     rr: usize,
     halted: usize,
@@ -95,6 +95,61 @@ impl CoreSnapshot {
     /// Whether the captured memory unit was fully drained.
     pub(crate) fn memunit_is_idle(&self) -> bool {
         self.memunit.is_idle()
+    }
+
+    /// Number of SMT threads captured.
+    pub(crate) fn thread_count(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// The captured state as a borrowed view, for encoding.
+    pub(crate) fn parts(&self) -> CoreParts<'_> {
+        CoreParts {
+            threads: &self.threads,
+            memunit: &self.memunit,
+            records: &self.records,
+            rr: self.rr,
+            halted: self.halted,
+            at_barrier: self.at_barrier,
+            issued_any: self.issued_any,
+        }
+    }
+}
+
+/// The snapshotted state of one core, borrowed from either a live
+/// [`Core`] or a [`CoreSnapshot`]: both encode through this one view, so
+/// a running machine writes a checkpoint byte-identical to the one its
+/// snapshot would, without being copied first.
+pub(crate) struct CoreParts<'a> {
+    threads: &'a [Thread],
+    memunit: &'a CoreMemUnit,
+    records: &'a [IssueRecord],
+    rr: usize,
+    halted: usize,
+    at_barrier: usize,
+    issued_any: bool,
+}
+
+impl CoreParts<'_> {
+    /// Appends the encoding [`CoreSnapshot`]'s `Wire` impl decodes.
+    pub(crate) fn encode(&self, w: &mut glsc_wire::Writer) {
+        use glsc_wire::Wire;
+        let Self {
+            threads,
+            memunit,
+            records,
+            rr,
+            halted,
+            at_barrier,
+            issued_any,
+        } = self;
+        w.put_slice(threads);
+        memunit.encode(w);
+        w.put_slice(records);
+        rr.encode(w);
+        halted.encode(w);
+        at_barrier.encode(w);
+        issued_any.encode(w);
     }
 }
 
@@ -738,8 +793,21 @@ impl Core {
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
         CoreSnapshot {
             threads: self.threads.clone(),
-            memunit: self.memunit.snapshot(),
+            memunit: self.memunit.clone(),
             records: self.records.clone(),
+            rr: self.rr,
+            halted: self.halted,
+            at_barrier: self.at_barrier,
+            issued_any: self.issued_any,
+        }
+    }
+
+    /// The snapshotted state of this core, borrowed for encoding.
+    pub(crate) fn parts(&self) -> CoreParts<'_> {
+        CoreParts {
+            threads: &self.threads,
+            memunit: &self.memunit,
+            records: &self.records,
             rr: self.rr,
             halted: self.halted,
             at_barrier: self.at_barrier,
@@ -750,9 +818,9 @@ impl Core {
     /// Replaces this core's state with the snapshot's (same-shape core;
     /// validated by `Machine::restore`).
     pub(crate) fn restore(&mut self, snap: &CoreSnapshot) {
-        self.threads = snap.threads.clone();
-        self.memunit.restore(&snap.memunit);
-        self.records = snap.records.clone();
+        self.threads.clone_from(&snap.threads);
+        self.memunit.clone_from(&snap.memunit);
+        self.records.clone_from(&snap.records);
         self.rr = snap.rr;
         self.halted = snap.halted;
         self.at_barrier = snap.at_barrier;
@@ -900,12 +968,20 @@ impl glsc_wire::Wire for IssueRecord {
     }
 }
 
-glsc_wire::wire_struct!(CoreSnapshot {
-    threads,
-    memunit,
-    records,
-    rr,
-    halted,
-    at_barrier,
-    issued_any,
-});
+impl glsc_wire::Wire for CoreSnapshot {
+    fn encode(&self, w: &mut glsc_wire::Writer) {
+        self.parts().encode(w);
+    }
+    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
+        use glsc_wire::Wire;
+        Ok(Self {
+            threads: Wire::decode(r)?,
+            memunit: Wire::decode(r)?,
+            records: Wire::decode(r)?,
+            rr: Wire::decode(r)?,
+            halted: Wire::decode(r)?,
+            at_barrier: Wire::decode(r)?,
+            issued_any: Wire::decode(r)?,
+        })
+    }
+}

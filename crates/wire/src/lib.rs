@@ -83,6 +83,12 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds —
+    /// lets a caller reuse one allocation across many encodes.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -116,6 +122,15 @@ impl Writer {
     /// Appends raw bytes with no length prefix (caller frames them).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a length-prefixed sequence — the encoding of a `Vec<T>`,
+    /// written from a borrowed slice.
+    pub fn put_slice<T: Wire>(&mut self, items: &[T]) {
+        self.put_u64(items.len() as u64);
+        for v in items {
+            v.encode(self);
+        }
     }
 }
 
@@ -327,10 +342,7 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.len() as u64);
-        for v in self {
-            v.encode(w);
-        }
+        w.put_slice(self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.get_len()?;
