@@ -21,7 +21,7 @@ impl fmt::Display for Label {
 ///
 /// In the simulator every hardware thread runs a `Program` (usually the same
 /// SPMD program, with the thread id supplied in a register by convention).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     pub(crate) instrs: Vec<Instr>,
     /// `sync[i]` is true when instruction `i` was emitted inside a

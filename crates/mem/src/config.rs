@@ -137,6 +137,10 @@ impl MemConfig {
         if self.l1_assoc == 0 || self.l2_assoc == 0 {
             return Err(ConfigError::ZeroAssociativity);
         }
+        let assoc = self.l1_assoc.max(self.l2_assoc);
+        if assoc > crate::MAX_ASSOC {
+            return Err(ConfigError::AssociativityTooLarge { assoc });
+        }
         if self.l2_banks == 0 {
             return Err(ConfigError::NoBanks);
         }
@@ -234,6 +238,20 @@ mod tests {
             ..MemConfig::tiny()
         };
         assert_eq!(c.check(), Err(ConfigError::ZeroAssociativity));
+    }
+
+    #[test]
+    fn rejects_associativity_above_the_snapshot_bound() {
+        let c = MemConfig {
+            l2_assoc: crate::MAX_ASSOC + 1,
+            ..MemConfig::tiny()
+        };
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::AssociativityTooLarge {
+                assoc: crate::MAX_ASSOC + 1
+            })
+        );
     }
 
     #[test]

@@ -26,6 +26,11 @@ pub enum ConfigError {
     },
     /// L1 or L2 associativity is zero.
     ZeroAssociativity,
+    /// L1 or L2 associativity exceeds [`MAX_ASSOC`](crate::MAX_ASSOC).
+    AssociativityTooLarge {
+        /// The offending associativity.
+        assoc: usize,
+    },
     /// `l2_banks` is zero.
     NoBanks,
     /// L1 capacity does not divide into whole sets.
@@ -88,6 +93,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "line size must be a power of two (got {line_bytes})")
             }
             ConfigError::ZeroAssociativity => write!(f, "associativity must be non-zero"),
+            ConfigError::AssociativityTooLarge { assoc } => write!(
+                f,
+                "associativity must be at most {} (got {assoc})",
+                crate::MAX_ASSOC
+            ),
             ConfigError::NoBanks => write!(f, "need at least one L2 bank"),
             ConfigError::L1NotSetDivisible {
                 l1_bytes,

@@ -66,7 +66,7 @@ pub use ordering::{MemoryOrder, ParseMemoryOrderError};
 pub use prefetch::StridePrefetcher;
 pub use stats::{MemStats, ThreadScStats};
 pub use system::{AccessResult, MemOp, MemSnapshot, MemorySystem};
-pub use tags::TagArray;
+pub use tags::{TagArray, MAX_ASSOC};
 
 /// Returns the line-aligned address containing `addr`.
 #[inline]
