@@ -2,7 +2,7 @@
 //! synchronization regions.
 
 use crate::instr::{AluOp, CmpOp, FenceKind, FpOp, Instr, LaneSel, Operand, VSrc};
-use crate::program::{Label, Program};
+use crate::program::{Label, Program, UNBOUND};
 use crate::reg::{MReg, Reg, VReg};
 use std::error::Error;
 use std::fmt;
@@ -133,7 +133,7 @@ impl ProgramBuilder {
                     if self.uses_label(l) {
                         return Err(BuildError::UnboundLabel(l));
                     }
-                    targets.push(u32::MAX);
+                    targets.push(UNBOUND);
                 }
             }
         }
@@ -145,13 +145,7 @@ impl ProgramBuilder {
     }
 
     fn uses_label(&self, l: Label) -> bool {
-        self.instrs.iter().any(|i| match i {
-            Instr::Branch { target, .. }
-            | Instr::Jump { target }
-            | Instr::BranchMaskZero { target, .. }
-            | Instr::BranchMaskNotZero { target, .. } => *target == l,
-            _ => false,
-        })
+        self.instrs.iter().any(|i| i.label() == Some(l))
     }
 
     // ---- scalar arithmetic ----

@@ -636,6 +636,18 @@ impl Instr {
         matches!(self, Instr::Fence { .. })
     }
 
+    /// The label a branch or jump targets; `None` for every other
+    /// instruction.
+    pub(crate) fn label(&self) -> Option<Label> {
+        match self {
+            Instr::Branch { target, .. }
+            | Instr::Jump { target }
+            | Instr::BranchMaskZero { target, .. }
+            | Instr::BranchMaskNotZero { target, .. } => Some(*target),
+            _ => None,
+        }
+    }
+
     /// Returns `true` for control-flow instructions.
     pub fn is_control(&self) -> bool {
         matches!(

@@ -16,6 +16,12 @@ impl fmt::Display for Label {
     }
 }
 
+/// The target [`ProgramBuilder::build`] records for a label that was never
+/// bound, which it allows only when no instruction names the label.
+///
+/// [`ProgramBuilder::build`]: crate::ProgramBuilder::build
+pub(crate) const UNBOUND: u32 = u32::MAX;
+
 /// An assembled, immutable program: a sequence of instructions plus
 /// per-instruction metadata and resolved label targets.
 ///
@@ -120,7 +126,14 @@ impl glsc_wire::Wire for Program {
                 what: "sync flag count",
             });
         }
-        if label_targets.iter().any(|&t| t as usize > instrs.len()) {
+        // Every label an instruction names must be in the table and bound
+        // (a target of `len` runs off the end, which halts); a label that
+        // nothing names may also hold the unbound sentinel.
+        let bound = |t: u32| t as usize <= instrs.len();
+        let named_ok = |l: Label| label_targets.get(l.0 as usize).is_some_and(|&t| bound(t));
+        if label_targets.iter().any(|&t| !bound(t) && t != UNBOUND)
+            || !instrs.iter().filter_map(Instr::label).all(named_ok)
+        {
             return Err(glsc_wire::WireError::Invalid {
                 at,
                 what: "label target",
@@ -179,6 +192,38 @@ mod tests {
             .unwrap();
         bad[pos] = b'z';
         assert!(glsc_wire::from_bytes::<crate::Program>(&bad).is_err());
+    }
+
+    #[test]
+    fn wire_decode_checks_named_labels_only() {
+        use crate::{Instr, Label, Program};
+        // A label nothing names may stay unbound and still round-trip.
+        let mut b = ProgramBuilder::new();
+        let _unused = b.label();
+        b.halt();
+        let p = b.build().unwrap();
+        let q: Program = glsc_wire::from_bytes(&glsc_wire::to_bytes(&p)).unwrap();
+        assert_eq!(p, q);
+        // A named label outside the table, or named but unbound, is a
+        // typed error rather than a panic when the program is stepped.
+        for label_targets in [vec![], vec![super::UNBOUND]] {
+            let bad = Program {
+                instrs: vec![Instr::Jump { target: Label(0) }, Instr::Halt],
+                sync: vec![false, false],
+                label_targets,
+            };
+            let err = glsc_wire::from_bytes::<Program>(&glsc_wire::to_bytes(&bad)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    glsc_wire::WireError::Invalid {
+                        what: "label target",
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,21 +16,24 @@
 //!   ([`glsc_mem::Backing::set_base`]);
 //! * **batched stepping** — up to [`width`](Fleet::with_width) live
 //!   machines advance round-robin, one
-//!   [quantum](Fleet::with_quantum) of cycles per pass, through one
-//!   shared completion scratch buffer and a stepping loop with the solo
-//!   loop's per-cycle overhead hoisted out (see `Machine::run_slice`).
+//!   [quantum](Fleet::with_quantum) of cycles per pass, each through
+//!   [`Machine::run_for`]: the same slice loop and cycle function a solo
+//!   [`Machine::run`] uses, with a [`SlicedRun`] per member carrying
+//!   its abort detectors across quanta.
 //!
-//! Every completed job yields a [`RunReport`] **bit-identical** to the
-//! same job run solo through [`Machine::run`] — enforced by the fleet
-//! differential oracle in `glsc-bench` across every kernel, Fig. 6
-//! shape, the Ideal and Ring topologies, and a chaos plan.
+//! There is one member loop, [`Fleet::run_each_supervised`];
+//! [`Fleet::run_each`] is that loop with a pause hook that always
+//! continues. Every completed job yields a [`RunReport`]
+//! **bit-identical** to the same job run solo through [`Machine::run`] —
+//! enforced by the fleet differential oracle in `glsc-bench` across every
+//! kernel, Fig. 6 shape, the Ideal and Ring topologies, and a chaos plan.
 
 use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineSnapshot, RunCtl, SimError, SliceOutcome};
+use crate::machine::{Machine, MachineSnapshot, SimError, SlicedRun};
 use crate::report::RunReport;
-use glsc_core::MemCompletion;
 use glsc_isa::Program;
 use glsc_mem::{BackingBase, FaultPlan};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One job for a [`Fleet`]: a configuration, a program, and optionally a
@@ -49,8 +52,9 @@ pub struct FleetJob {
     /// Resume point: mount this snapshot instead of a fresh program +
     /// image. A snapshot is self-contained (the CoW base is serialized by
     /// value), so `program`, `base` and `fault_plan` are ignored when it
-    /// is set; `cfg` must match the snapshot's configuration (it decides
-    /// the job's scheduling group).
+    /// is set. `cfg` decides the job's scheduling group; a snapshot
+    /// captured under another configuration fails the job with
+    /// [`SimError::SnapshotMismatch`].
     pub snapshot: Option<Arc<MachineSnapshot>>,
 }
 
@@ -129,54 +133,66 @@ impl std::fmt::Display for FleetFailure {
 struct Member {
     idx: usize,
     machine: Machine,
-    ctl: RunCtl,
-    queue: std::collections::VecDeque<usize>,
+    run: SlicedRun,
+    queue: VecDeque<usize>,
 }
 
 /// Mounts the next job of `queue` onto `machine` (which is fresh or
 /// reset): either a fresh program + CoW base + fault plan, or — for a
 /// checkpointed job — the snapshot it is resuming from. The detector
-/// state is created *after* mounting, as [`Machine::restore`] requires.
-fn mount_member(
+/// state is created *after* mounting, as [`SlicedRun::new`] requires.
+///
+/// A snapshot captured under another configuration than the group's
+/// cannot be restored: that job ends through `on_done` with
+/// [`SimError::SnapshotMismatch`] and the group's next job is mounted on
+/// the same machine. When the queue runs dry the machine is parked in
+/// `pool` and there is no member.
+fn mount<F>(
     mut machine: Machine,
-    mut queue: std::collections::VecDeque<usize>,
+    mut queue: VecDeque<usize>,
     jobs: &mut [Option<FleetJob>],
-) -> Member {
-    let idx = queue.pop_front().expect("group queues are non-empty");
-    let FleetJob {
-        program,
-        base,
-        fault_plan,
-        snapshot,
-        ..
-    } = jobs[idx].take().expect("each job admitted once");
-    match snapshot {
-        Some(snap) => {
-            // A pooled machine of the right shape restores in place; a
-            // shape drift (callers group by `cfg`, so this only happens
-            // if a caller lied about the job's config) falls back to a
-            // fresh build from the snapshot's own config.
-            if machine.restore(&snap).is_err() {
-                machine = Machine::from_snapshot(&snap);
+    pool: &mut Vec<Machine>,
+    on_done: &mut F,
+) -> Option<Member>
+where
+    F: FnMut(usize, &mut Machine, Result<RunReport, FleetFailure>),
+{
+    while let Some(idx) = queue.pop_front() {
+        let FleetJob {
+            program,
+            base,
+            fault_plan,
+            snapshot,
+            ..
+        } = jobs[idx].take().expect("each job admitted once");
+        match snapshot {
+            Some(snap) => {
+                if let Err(e) = machine.restore(&snap) {
+                    on_done(idx, &mut machine, Err(FleetFailure::Sim(e)));
+                    machine.reset(); // the callback may have written to it
+                    continue;
+                }
+            }
+            None => {
+                if let Some(base) = base {
+                    machine.mem_mut().backing_mut().set_base(base);
+                }
+                machine.load_program(program);
+                if let Some(plan) = fault_plan {
+                    machine.mem_mut().install_fault_plan(plan);
+                }
             }
         }
-        None => {
-            if let Some(base) = base {
-                machine.mem_mut().backing_mut().set_base(base);
-            }
-            machine.load_program(program);
-            if let Some(plan) = fault_plan {
-                machine.mem_mut().install_fault_plan(plan);
-            }
-        }
+        let run = SlicedRun::new(&machine);
+        return Some(Member {
+            idx,
+            machine,
+            run,
+            queue,
+        });
     }
-    let ctl = RunCtl::new(&machine);
-    Member {
-        idx,
-        machine,
-        ctl,
-        queue,
-    }
+    pool.push(machine);
+    None
 }
 
 /// Renders a panic payload the way the supervisor ledgers expect.
@@ -189,10 +205,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Groups job indices by machine configuration (order-preserving).
-fn group_by_config(
-    jobs: &[FleetJob],
-) -> std::collections::VecDeque<(MachineConfig, std::collections::VecDeque<usize>)> {
-    let mut groups: Vec<(MachineConfig, std::collections::VecDeque<usize>)> = Vec::new();
+fn group_by_config(jobs: &[FleetJob]) -> VecDeque<(MachineConfig, VecDeque<usize>)> {
+    let mut groups: Vec<(MachineConfig, VecDeque<usize>)> = Vec::new();
     for (i, job) in jobs.iter().enumerate() {
         match groups.iter_mut().find(|(cfg, _)| *cfg == job.cfg) {
             Some((_, q)) => q.push_back(i),
@@ -265,60 +279,27 @@ impl Fleet {
     /// amortization it exists to provide. Within a group, jobs run in
     /// submission order.
     ///
+    /// This is [`run_each_supervised`](Fleet::run_each_supervised) with
+    /// a pause hook that always continues.
+    ///
     /// # Panics
     ///
     /// Panics if a job's configuration is invalid (as [`Machine::new`]
-    /// would).
+    /// would). A panic inside the stepping loop propagates to the caller,
+    /// its message preserved.
     pub fn run_each<F>(&self, jobs: Vec<FleetJob>, mut on_done: F)
     where
         F: FnMut(usize, &mut Machine, Result<RunReport, SimError>),
     {
-        let mut groups = group_by_config(&jobs);
-        let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
-        let mut pool: Vec<Machine> = Vec::new();
-        let mut active: Vec<Member> = Vec::new();
-        let mut comp_buf: Vec<MemCompletion> = Vec::new();
-        let mut mount = mount_member;
-
-        loop {
-            // Refill the batch window: one group per free slot.
-            while active.len() < self.width {
-                let Some((cfg, queue)) = groups.pop_front() else {
-                    break;
-                };
-                let machine = match pool.iter().position(|m| *m.cfg() == cfg) {
-                    Some(i) => pool.swap_remove(i),
-                    None => Machine::new(cfg),
-                };
-                active.push(mount(machine, queue, &mut jobs));
-            }
-            if active.is_empty() {
-                return;
-            }
-            // One pass: a quantum for each live member. A finished member
-            // reports, resets its machine, and mounts its group's next
-            // job in place; an exhausted group parks the machine in the
-            // pool and frees the slot for the next group.
-            let mut i = 0;
-            while i < active.len() {
-                let m = &mut active[i];
-                let outcome = m.machine.run_slice(&mut m.ctl, self.quantum, &mut comp_buf);
-                match outcome {
-                    Ok(SliceOutcome::Paused) => i += 1,
-                    Err(e) => {
-                        let member = &mut active[i];
-                        on_done(member.idx, &mut member.machine, Err(e));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
-                    }
-                    Ok(SliceOutcome::Done) => {
-                        let member = &mut active[i];
-                        let report = member.machine.report();
-                        on_done(member.idx, &mut member.machine, Ok(report));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
-                    }
-                }
-            }
-        }
+        self.run_each_supervised(
+            jobs,
+            |_, _| PauseCtl::Continue,
+            |idx, machine, result| match result {
+                Ok(report) => on_done(idx, machine, Ok(report)),
+                Err(FleetFailure::Sim(e)) => on_done(idx, machine, Err(e)),
+                Err(FleetFailure::Panicked(msg)) => std::panic::resume_unwind(Box::new(msg)),
+            },
+        );
     }
 
     /// The supervised variant of [`run_each`](Fleet::run_each): same
@@ -334,12 +315,14 @@ impl Fleet {
     ///   (so a drain checkpoints all in-flight slots, not just the one
     ///   that observed the signal).
     /// * `on_done(index, machine, result)` fires as each job finishes.
-    ///   Unlike `run_each`, a panic inside the stepping loop is caught
-    ///   and reported as [`FleetFailure::Panicked`]; the panicking
-    ///   machine is discarded instead of pooled, and the fleet keeps
-    ///   going — one hostile job cannot take down the batch.
+    ///   A panic inside the stepping loop is caught and reported as
+    ///   [`FleetFailure::Panicked`]; the panicking machine is discarded
+    ///   instead of pooled, and the fleet keeps going — one hostile job
+    ///   cannot take down the batch.
     /// * Jobs carrying a [snapshot](FleetJob::with_snapshot) resume from
-    ///   it bit-identically instead of starting fresh.
+    ///   it bit-identically instead of starting fresh; one whose snapshot
+    ///   holds another configuration fails with
+    ///   [`SimError::SnapshotMismatch`].
     ///
     /// Returns `true` when every job ran to an outcome, `false` when a
     /// hook halted the fleet (jobs not yet mounted never start).
@@ -357,10 +340,9 @@ impl Fleet {
         let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
         let mut pool: Vec<Machine> = Vec::new();
         let mut active: Vec<Member> = Vec::new();
-        let mut comp_buf: Vec<MemCompletion> = Vec::new();
-        let mut mount = mount_member;
 
         loop {
+            // Refill the batch window: one group per free slot.
             while active.len() < self.width {
                 let Some((cfg, queue)) = groups.pop_front() else {
                     break;
@@ -369,66 +351,57 @@ impl Fleet {
                     Some(i) => pool.swap_remove(i),
                     None => Machine::new(cfg),
                 };
-                active.push(mount(machine, queue, &mut jobs));
+                if let Some(member) = mount(machine, queue, &mut jobs, &mut pool, &mut on_done) {
+                    active.push(member);
+                }
             }
             if active.is_empty() {
                 return true;
             }
+            // One pass: a quantum for each live member. A finished member
+            // reports, resets its machine, and mounts its group's next
+            // job in place; an exhausted group parks the machine in the
+            // pool and frees the slot for the next group.
             let mut i = 0;
             while i < active.len() {
-                let m = &mut active[i];
+                let member = &mut active[i];
                 let sliced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    m.machine.run_slice(&mut m.ctl, self.quantum, &mut comp_buf)
+                    member.machine.run_for(&mut member.run, self.quantum)
                 }));
                 match sliced {
                     Err(payload) => {
-                        let member = &mut active[i];
                         on_done(
                             member.idx,
                             &mut member.machine,
                             Err(FleetFailure::Panicked(panic_message(payload))),
                         );
                         // Mid-panic machine state cannot be trusted:
-                        // drop it and mount the group's next job (if
-                        // any) on a fresh build.
-                        let member = active.swap_remove(i);
-                        if let Some(&next) = member.queue.front() {
-                            let cfg = jobs[next]
-                                .as_ref()
-                                .expect("queued jobs are unmounted")
-                                .cfg
-                                .clone();
-                            active.push(mount(Machine::new(cfg), member.queue, &mut jobs));
-                        }
+                        // replace it with a fresh build before retiring.
+                        member.machine = Machine::new(member.machine.cfg().clone());
+                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut on_done);
                     }
-                    Ok(Ok(SliceOutcome::Paused)) => {
-                        let member = &mut active[i];
-                        match on_pause(member.idx, &mut member.machine) {
-                            PauseCtl::Continue => i += 1,
-                            PauseCtl::FailJob => {
-                                Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
-                            }
-                            PauseCtl::Halt => {
-                                let halted = member.idx;
-                                for other in active.iter_mut() {
-                                    if other.idx != halted {
-                                        let _ = on_pause(other.idx, &mut other.machine);
-                                    }
+                    Ok(Ok(None)) => match on_pause(member.idx, &mut member.machine) {
+                        PauseCtl::Continue => i += 1,
+                        PauseCtl::FailJob => {
+                            Self::retire(&mut active, i, &mut pool, &mut jobs, &mut on_done);
+                        }
+                        PauseCtl::Halt => {
+                            let halted = member.idx;
+                            for other in active.iter_mut() {
+                                if other.idx != halted {
+                                    let _ = on_pause(other.idx, &mut other.machine);
                                 }
-                                return false;
                             }
+                            return false;
                         }
-                    }
+                    },
                     Ok(Err(e)) => {
-                        let member = &mut active[i];
                         on_done(member.idx, &mut member.machine, Err(FleetFailure::Sim(e)));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
+                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut on_done);
                     }
-                    Ok(Ok(SliceOutcome::Done)) => {
-                        let member = &mut active[i];
-                        let report = member.machine.report();
+                    Ok(Ok(Some(report))) => {
                         on_done(member.idx, &mut member.machine, Ok(report));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
+                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut on_done);
                     }
                 }
             }
@@ -438,38 +411,22 @@ impl Fleet {
     /// Retires `active[i]`'s finished job: resets the machine, mounts the
     /// group's next job in place, or parks the machine and frees the
     /// slot.
-    fn retire(
+    fn retire<F>(
         active: &mut Vec<Member>,
         i: usize,
         pool: &mut Vec<Machine>,
         jobs: &mut [Option<FleetJob>],
-        mount: &mut impl FnMut(
-            Machine,
-            std::collections::VecDeque<usize>,
-            &mut [Option<FleetJob>],
-        ) -> Member,
-    ) {
-        let member = active.swap_remove(i);
-        let mut machine = member.machine;
+        on_done: &mut F,
+    ) where
+        F: FnMut(usize, &mut Machine, Result<RunReport, FleetFailure>),
+    {
+        let Member {
+            mut machine, queue, ..
+        } = active.swap_remove(i);
         machine.reset();
-        if member.queue.is_empty() {
-            pool.push(machine);
-        } else {
-            active.push(mount(machine, member.queue, jobs));
+        if let Some(member) = mount(machine, queue, jobs, pool, on_done) {
+            active.push(member);
         }
-    }
-
-    /// Runs every job and returns the results in job order.
-    pub fn run_all(&self, jobs: Vec<FleetJob>) -> Vec<Result<RunReport, SimError>> {
-        let n = jobs.len();
-        let mut results: Vec<Option<Result<RunReport, SimError>>> = (0..n).map(|_| None).collect();
-        self.run_each(jobs, |idx, _machine, result| {
-            results[idx] = Some(result);
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every job reported"))
-            .collect()
     }
 }
 
@@ -565,6 +522,32 @@ mod tests {
         );
         assert!(done);
         assert_eq!(got.expect("resumed job reported"), solo);
+    }
+
+    #[test]
+    fn snapshot_of_another_config_fails_only_its_job() {
+        let cfg = MachineConfig::paper(1, 1, 4);
+        let mut other = Machine::new(MachineConfig::paper(2, 2, 4));
+        other.load_program(countdown(50));
+        let foreign = Arc::new(other.snapshot());
+        let jobs = vec![
+            FleetJob::new(cfg.clone(), countdown(50)).with_snapshot(foreign),
+            FleetJob::new(cfg.clone(), countdown(100)),
+        ];
+        let mut results = Vec::new();
+        Fleet::new().run_each(jobs, |idx, _, result| results.push((idx, result)));
+        assert_eq!(results.len(), 2);
+        assert!(
+            matches!(results[0], (0, Err(SimError::SnapshotMismatch { .. }))),
+            "{:?}",
+            results[0]
+        );
+        // The group keeps its own machine: the next job runs on `cfg`.
+        assert_eq!(results[1].0, 1);
+        assert_eq!(
+            results[1].1.as_ref().expect("second job completes"),
+            &solo_report(&cfg, &countdown(100))
+        );
     }
 
     #[test]

@@ -313,22 +313,57 @@ impl Machine {
         &self.cores[c].threads[t].arch
     }
 
-    /// Advances one cycle; returns `true` when every thread has halted.
+    /// Advances one cycle; returns `true` when every thread has halted and
+    /// every memory unit has drained.
+    ///
+    /// This is the machine's only cycle function: [`run`](Machine::run),
+    /// [`run_naive`](Machine::run_naive), [`run_for`](Machine::run_for),
+    /// [`step_masked`](Machine::step_masked) and the fleet all advance
+    /// through it. It skips work that cannot change state:
+    ///
+    /// * an idle memory unit is not ticked (its tick is a state no-op; it
+    ///   can produce no completions, so `apply_completions` on the empty
+    ///   buffer is skipped with it);
+    /// * a core whose threads have all halted skips the issue stage and
+    ///   the statistics classification — both are no-ops for halted
+    ///   threads, except the issue round-robin rotation, which is
+    ///   unobservable once nothing can issue again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no program is loaded.
     pub fn step(&mut self) -> bool {
-        let program = Arc::clone(self.program.as_ref().expect("program loaded"));
-        let now = self.cycle;
-        let mut comp_buf = std::mem::take(&mut self.comp_buf);
-        for core in &mut self.cores {
-            core.memunit.tick_into(&mut self.mem, now, &mut comp_buf);
-            core.apply_completions(&mut comp_buf);
+        let Self {
+            cfg,
+            mem,
+            cores,
+            program,
+            cycle,
+            comp_buf,
+        } = self;
+        let program = program.as_deref().expect("program loaded");
+        let now = *cycle;
+        for core in cores.iter_mut() {
+            if !core.memunit.is_idle() {
+                core.memunit.tick_into(mem, now, comp_buf);
+                core.apply_completions(comp_buf);
+                debug_assert!(comp_buf.is_empty(), "completions fully drained");
+            }
         }
-        self.comp_buf = comp_buf;
-        for core in &mut self.cores {
-            core.issue_stage(&program, &self.cfg, now);
+        for core in cores.iter_mut() {
+            if core.all_halted() {
+                // issue_stage would have cleared this; the watchdog and
+                // fast-forward probes must not see a stale value.
+                core.issued_any = false;
+            } else {
+                core.issue_stage(program, cfg, now);
+            }
         }
         self.release_barrier(now);
         for core in &mut self.cores {
-            core.classify_cycle();
+            if !core.all_halted() {
+                core.classify_cycle();
+            }
         }
         self.cycle += 1;
         self.cores
@@ -465,45 +500,73 @@ impl Machine {
         self.cycle = target;
     }
 
-    /// Runs until every thread halts, returning the aggregated report.
-    /// Uses event-driven fast-forwarding over dead cycles; the resulting
-    /// report is cycle-for-cycle identical to
-    /// [`run_naive`](Machine::run_naive).
+    /// Runs until every thread halts, returning the aggregated report:
+    /// one unbounded [`run_for`](Machine::run_for) slice. Uses
+    /// event-driven fast-forwarding over dead cycles; the resulting report
+    /// is cycle-for-cycle identical to [`run_naive`](Machine::run_naive).
     ///
     /// # Errors
     ///
     /// [`SimError::NoProgram`] when no program was loaded;
     /// [`SimError::MaxCyclesExceeded`] when the configured cycle budget is
-    /// exhausted.
+    /// exhausted; the other variants when their detectors fire.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        self.run_loop(true)
+        let mut run = SlicedRun::new(self);
+        Ok(self
+            .run_for(&mut run, u64::MAX)?
+            .expect("the cycle budget ends an unbounded slice"))
     }
 
-    /// Runs the machine by single-stepping every cycle, with no
-    /// fast-forwarding. Kept as the reference implementation for
-    /// differential testing and performance comparison against
-    /// [`run`](Machine::run).
+    /// Runs the machine by single-stepping every cycle: the loop of
+    /// [`run`](Machine::run) with fast-forwarding off. Kept as the
+    /// reference implementation for differential testing and performance
+    /// comparison against `run`.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Machine::run).
     pub fn run_naive(&mut self) -> Result<RunReport, SimError> {
-        self.run_loop(false)
+        let mut run = SlicedRun {
+            fast_forward: false,
+            ..SlicedRun::new(self)
+        };
+        Ok(self
+            .run_for(&mut run, u64::MAX)?
+            .expect("the cycle budget ends an unbounded slice"))
     }
 
-    fn run_loop(&mut self, fast_forward: bool) -> Result<RunReport, SimError> {
+    /// Advances the machine by one slice of the stepping loop, returning
+    /// `Some(report)` once every thread has halted and the memory units
+    /// have drained, `None` while work remains.
+    ///
+    /// The slice stops at the first cycle at or past `start + budget`,
+    /// where `start` is the cycle on entry. Fast-forward jumps are not cut
+    /// at the slice end, so a paused slice may end past `start + budget`
+    /// by up to one jump; it never ends before it. The concatenation of
+    /// slices, whatever their budgets, is bit-identical to one
+    /// uninterrupted [`Machine::run`] (itself one unbounded slice) — the
+    /// property the snapshot-codec and kill-drill oracles pin down.
+    ///
+    /// `run` carries the abort detectors across slices, so the watchdog,
+    /// starvation detector, periodic invariant checks and cycle budget
+    /// fire on exactly the cycle they would in an unsliced run. The
+    /// starvation scan is gated on the memory system's total
+    /// store-conditional failure count: a streak can only reach the
+    /// threshold on a cycle that records a failure, so skipping the
+    /// per-thread scan on all other cycles cannot move the abort.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Machine::run`], surfaced on the same cycle.
+    pub fn run_for(
+        &mut self,
+        run: &mut SlicedRun,
+        budget: u64,
+    ) -> Result<Option<RunReport>, SimError> {
         if self.program.is_none() {
             return Err(SimError::NoProgram);
         }
-        // Watchdog state: the last cycle at which any thread issued. A
-        // fast-forward jump always lands on a cycle where a thread can
-        // issue, so a live machine keeps refreshing this even across
-        // jumps wider than the window.
-        let mut last_progress = self.cycle;
-        let mut next_invariant_check = self
-            .cfg
-            .invariant_check_period
-            .map(|p| self.cycle.saturating_add(p));
+        let slice_end = self.cycle.saturating_add(budget);
         loop {
             let done = self.step();
             // The oracle only accumulates during stepped cycles (memory
@@ -517,156 +580,26 @@ impl Machine {
                 });
             }
             if done {
-                return Ok(self.report());
+                return Ok(Some(self.report()));
             }
             // Starvation check directly after the step: SC outcomes are
             // only recorded during stepped cycles (a busy memory unit pins
             // the machine to single-stepping, see `fast_forward`), so the
             // threshold crossing — and this abort — lands on the same
-            // cycle in `run` and `run_naive`.
-            if let Some(threshold) = self.cfg.starvation_threshold {
-                if let Some(err) = self.check_starvation(threshold) {
-                    return Err(err);
-                }
-            }
-            if self.cores.iter().any(|c| c.issued_any) {
-                last_progress = self.cycle;
-            } else if let Some(window) = self.cfg.watchdog_window {
-                if self.cycle.saturating_sub(last_progress) >= window {
-                    return Err(SimError::Livelock {
-                        cycle: self.cycle,
-                        window,
-                        stuck: self.stuck_threads(),
-                        stalls: self.stall_totals(),
-                        reservations: self.mem.reservation_state(),
-                    });
-                }
-            }
-            if let Some(at) = next_invariant_check {
-                if self.cycle >= at {
-                    if let Err(violation) = self.mem.try_check_invariants() {
-                        return Err(SimError::InvariantViolation {
-                            cycle: self.cycle,
-                            violation,
-                        });
-                    }
-                    let period = self.cfg.invariant_check_period.unwrap_or(u64::MAX);
-                    next_invariant_check = Some(self.cycle.saturating_add(period));
-                }
-            }
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::MaxCyclesExceeded {
-                    cycle: self.cycle,
-                    stuck: self.stuck_threads(),
-                    stalls: self.stall_totals(),
-                });
-            }
-            if fast_forward {
-                // Never jump past the cycle at which the watchdog would
-                // fire: the jump target is one short of the deadline, so
-                // the next (non-issuing) step lands exactly on it.
-                let wd_cap = match self.cfg.watchdog_window {
-                    Some(w) => last_progress.saturating_add(w).saturating_sub(1),
-                    None => u64::MAX,
-                };
-                self.fast_forward(wd_cap);
-            }
-        }
-    }
-
-    /// One cycle of the fleet stepping loop. Semantically identical to
-    /// [`step`](Machine::step) — same call order into the shared memory
-    /// system, same barrier release, same statistics — but with the
-    /// per-cycle overhead the solo loop pays hoisted or skipped:
-    ///
-    /// * the program `Arc` and the completion buffer are passed in by the
-    ///   caller instead of cloned/taken every cycle;
-    /// * an idle memory unit is not ticked (its tick is a state no-op; it
-    ///   can produce no completions, so `apply_completions` on the empty
-    ///   buffer is skipped with it);
-    /// * a core whose threads have all halted skips the issue stage and
-    ///   the statistics classification — both are no-ops for halted
-    ///   threads, except the issue round-robin rotation, which is
-    ///   unobservable once nothing can issue again.
-    fn step_fast(&mut self, program: &Program, comp_buf: &mut Vec<MemCompletion>) -> bool {
-        let now = self.cycle;
-        for core in &mut self.cores {
-            if !core.memunit.is_idle() {
-                core.memunit.tick_into(&mut self.mem, now, comp_buf);
-                core.apply_completions(comp_buf);
-                debug_assert!(comp_buf.is_empty(), "completions fully drained");
-            }
-        }
-        for core in &mut self.cores {
-            if core.all_halted() {
-                // issue_stage would have cleared this; the watchdog and
-                // fast-forward probes must not see a stale value.
-                core.issued_any = false;
-            } else {
-                core.issue_stage(program, &self.cfg, now);
-            }
-        }
-        self.release_barrier(now);
-        for core in &mut self.cores {
-            if !core.all_halted() {
-                core.classify_cycle();
-            }
-        }
-        self.cycle += 1;
-        self.cores
-            .iter()
-            .all(|c| c.all_halted() && c.memunit.is_idle())
-    }
-
-    /// Advances the machine by (at most) `budget` cycles of the fleet
-    /// stepping loop, with the same abort semantics as
-    /// [`run`](Machine::run): the watchdog, starvation detector, periodic
-    /// invariant checks and cycle budget all fire on exactly the cycle
-    /// they would under the solo loop, and the [`RunReport`] of a
-    /// completed run is bit-identical (proven by the fleet differential
-    /// oracle). `ctl` carries the detector state across slices;
-    /// `comp_buf` is the caller's scratch completion buffer (shared
-    /// across fleet members).
-    ///
-    /// The starvation scan is gated on the memory system's total
-    /// store-conditional failure count: a streak can only reach the
-    /// threshold on a cycle that records a failure, so skipping the
-    /// per-thread scan on all other cycles cannot move the abort.
-    pub(crate) fn run_slice(
-        &mut self,
-        ctl: &mut RunCtl,
-        budget: u64,
-        comp_buf: &mut Vec<MemCompletion>,
-    ) -> Result<SliceOutcome, SimError> {
-        let program = match &self.program {
-            Some(p) => Arc::clone(p),
-            None => return Err(SimError::NoProgram),
-        };
-        let slice_end = self.cycle.saturating_add(budget);
-        loop {
-            let done = self.step_fast(&program, comp_buf);
-            if let Some(v) = self.mem.oracle_violation() {
-                return Err(SimError::AtomicityViolation {
-                    cycle: self.cycle,
-                    violation: v.clone(),
-                });
-            }
-            if done {
-                return Ok(SliceOutcome::Done);
-            }
+            // cycle with and without fast-forwarding.
             if let Some(threshold) = self.cfg.starvation_threshold {
                 let failures = self.mem.stats().sc_failures;
-                if failures != ctl.sc_failures_seen {
-                    ctl.sc_failures_seen = failures;
+                if failures != run.sc_failures_seen {
+                    run.sc_failures_seen = failures;
                     if let Some(err) = self.check_starvation(threshold) {
                         return Err(err);
                     }
                 }
             }
             if self.cores.iter().any(|c| c.issued_any) {
-                ctl.last_progress = self.cycle;
+                run.last_progress = self.cycle;
             } else if let Some(window) = self.cfg.watchdog_window {
-                if self.cycle.saturating_sub(ctl.last_progress) >= window {
+                if self.cycle.saturating_sub(run.last_progress) >= window {
                     return Err(SimError::Livelock {
                         cycle: self.cycle,
                         window,
@@ -676,7 +609,7 @@ impl Machine {
                     });
                 }
             }
-            if let Some(at) = ctl.next_invariant_check {
+            if let Some(at) = run.next_invariant_check {
                 if self.cycle >= at {
                     if let Err(violation) = self.mem.try_check_invariants() {
                         return Err(SimError::InvariantViolation {
@@ -685,7 +618,7 @@ impl Machine {
                         });
                     }
                     let period = self.cfg.invariant_check_period.unwrap_or(u64::MAX);
-                    ctl.next_invariant_check = Some(self.cycle.saturating_add(period));
+                    run.next_invariant_check = Some(self.cycle.saturating_add(period));
                 }
             }
             if self.cycle >= self.cfg.max_cycles {
@@ -695,13 +628,18 @@ impl Machine {
                     stalls: self.stall_totals(),
                 });
             }
-            let wd_cap = match self.cfg.watchdog_window {
-                Some(w) => ctl.last_progress.saturating_add(w).saturating_sub(1),
-                None => u64::MAX,
-            };
-            self.fast_forward(wd_cap);
+            if run.fast_forward {
+                // Never jump past the cycle at which the watchdog would
+                // fire: the jump target is one short of the deadline, so
+                // the next (non-issuing) step lands exactly on it.
+                let wd_cap = match self.cfg.watchdog_window {
+                    Some(w) => run.last_progress.saturating_add(w).saturating_sub(1),
+                    None => u64::MAX,
+                };
+                self.fast_forward(wd_cap);
+            }
             if self.cycle >= slice_end {
-                return Ok(SliceOutcome::Paused);
+                return Ok(None);
             }
         }
     }
@@ -885,43 +823,6 @@ impl Machine {
     }
 }
 
-/// Abort-detector state threaded across [`Machine::run_slice`] calls so a
-/// run split into slices fires the watchdog, starvation and invariant
-/// checks on exactly the cycles an unsliced run would.
-#[derive(Clone, Debug)]
-pub(crate) struct RunCtl {
-    /// Last cycle at which any thread issued (watchdog anchor).
-    last_progress: u64,
-    /// Next cycle at which to run the periodic coherence check.
-    next_invariant_check: Option<u64>,
-    /// Total SC failures at the last starvation scan (scan gate).
-    sc_failures_seen: u64,
-}
-
-impl RunCtl {
-    /// Detector state for a machine about to start (or resume) running.
-    pub(crate) fn new(machine: &Machine) -> Self {
-        Self {
-            last_progress: machine.cycle,
-            next_invariant_check: machine
-                .cfg
-                .invariant_check_period
-                .map(|p| machine.cycle.saturating_add(p)),
-            sc_failures_seen: machine.mem.stats().sc_failures,
-        }
-    }
-}
-
-/// Result of one [`Machine::run_slice`] call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SliceOutcome {
-    /// Every thread halted and the memory units drained; the report is
-    /// ready.
-    Done,
-    /// The cycle budget for this slice ran out; call again to continue.
-    Paused,
-}
-
 /// A self-contained point-in-time copy of a [`Machine`], produced by
 /// [`Machine::snapshot`].
 ///
@@ -966,16 +867,24 @@ impl MachineSnapshot {
     }
 }
 
-/// Externally-driveable sliced execution: the state
-/// [`Machine::run_for`] threads across calls so a run split into slices
-/// fires the watchdog, starvation and invariant checks on exactly the
-/// cycles an unsliced [`Machine::run`] would. Built for checkpointing
-/// drivers (`glsc-serve`): step a bounded number of cycles, snapshot,
-/// repeat.
+/// The abort-detector state [`Machine::run_for`] threads across calls, so
+/// a run split into slices fires the watchdog, starvation and invariant
+/// checks on exactly the cycles an unsliced [`Machine::run`] would. Built
+/// for checkpointing drivers (`glsc-serve`, the fleet): step a bounded
+/// number of cycles, snapshot, repeat.
 #[derive(Debug)]
 pub struct SlicedRun {
-    ctl: RunCtl,
-    comp_buf: Vec<MemCompletion>,
+    /// Last cycle at which any thread issued (watchdog anchor). A
+    /// fast-forward jump always lands on a cycle where a thread can
+    /// issue, so a live machine keeps refreshing this even across jumps
+    /// wider than the watchdog window.
+    last_progress: u64,
+    /// Next cycle at which to run the periodic coherence check.
+    next_invariant_check: Option<u64>,
+    /// Total SC failures at the last starvation scan (scan gate).
+    sc_failures_seen: u64,
+    /// Jump over dead cycles; off only for [`Machine::run_naive`].
+    fast_forward: bool,
 }
 
 impl SlicedRun {
@@ -983,33 +892,13 @@ impl SlicedRun {
     /// Create this *after* restoring a snapshot, not before.
     pub fn new(machine: &Machine) -> Self {
         Self {
-            ctl: RunCtl::new(machine),
-            comp_buf: Vec::new(),
-        }
-    }
-}
-
-impl Machine {
-    /// Advances the machine by at most `budget` cycles, returning
-    /// `Some(report)` once every thread has halted and the memory units
-    /// have drained, `None` while work remains. The concatenation of
-    /// slices is bit-identical to one uninterrupted [`Machine::run`] —
-    /// the property the snapshot-codec and kill-drill oracles pin down.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Machine::run`], surfaced on the same cycle.
-    pub fn run_for(
-        &mut self,
-        run: &mut SlicedRun,
-        budget: u64,
-    ) -> Result<Option<RunReport>, SimError> {
-        let mut comp_buf = std::mem::take(&mut run.comp_buf);
-        let outcome = self.run_slice(&mut run.ctl, budget, &mut comp_buf);
-        run.comp_buf = comp_buf;
-        match outcome? {
-            SliceOutcome::Done => Ok(Some(self.report())),
-            SliceOutcome::Paused => Ok(None),
+            last_progress: machine.cycle,
+            next_invariant_check: machine
+                .cfg
+                .invariant_check_period
+                .map(|p| machine.cycle.saturating_add(p)),
+            sc_failures_seen: machine.mem.stats().sc_failures,
+            fast_forward: true,
         }
     }
 }

@@ -3,7 +3,10 @@
 //! (DESIGN.md §9).
 
 use glsc_isa::{Program, ProgramBuilder, Reg};
-use glsc_sim::{ChaosConfig, ConfigError, FaultPlan, Machine, MachineConfig, SimError};
+use glsc_sim::{
+    ChaosConfig, ConfigError, FaultPlan, Fleet, FleetJob, Machine, MachineConfig, SimError,
+    SlicedRun,
+};
 
 fn r(i: u8) -> Reg {
     Reg::new(i)
@@ -69,18 +72,38 @@ fn watchdog_reports_livelock_with_full_dump() {
     }
 }
 
+/// The watchdog fires on the same cycle however the stepping loop is
+/// entered: `run`, `run_naive`, one-cycle `run_for` slices, the fleet.
 #[test]
 fn livelock_identical_between_run_and_run_naive() {
+    let mut cfg = MachineConfig::paper(1, 1, 1).with_watchdog_window(Some(500));
+    cfg.mem.dram_latency = 10_000_000;
     let build = || {
-        let mut cfg = MachineConfig::paper(1, 1, 1).with_watchdog_window(Some(500));
-        cfg.mem.dram_latency = 10_000_000;
-        let mut m = Machine::new(cfg);
+        let mut m = Machine::new(cfg.clone());
         m.load_program(blocking_ll_program());
         m
     };
     let fast = build().run().unwrap_err();
     let naive = build().run_naive().unwrap_err();
     assert_eq!(fast, naive, "watchdog must not depend on fast-forwarding");
+    let mut sliced_m = build();
+    let mut run = SlicedRun::new(&sliced_m);
+    let sliced = loop {
+        if let Some(report) = sliced_m.run_for(&mut run, 1).transpose() {
+            break report.unwrap_err();
+        }
+    };
+    assert_eq!(fast, sliced, "watchdog must not depend on slicing");
+    let mut fleet = None;
+    Fleet::new().with_quantum(3).run_each(
+        vec![FleetJob::new(cfg.clone(), blocking_ll_program())],
+        |_, _, result| fleet = Some(result.unwrap_err()),
+    );
+    assert_eq!(
+        Some(&fast),
+        fleet.as_ref(),
+        "watchdog must not depend on the fleet"
+    );
     let msg = fast.to_string();
     assert!(msg.contains("livelock"), "display names the failure: {msg}");
     assert!(msg.contains("stall totals"), "display has stalls: {msg}");

@@ -1,11 +1,14 @@
 //! Starvation detection: a thread whose store-conditionals keep failing
 //! must abort the run with a diagnostic [`SimError::Starvation`] naming
-//! it — at the *same cycle* in `run` and `run_naive`, under every
-//! arbitration policy, even when backoff delays open fast-forwardable
-//! gaps that straddle the detection point.
+//! it — at the *same cycle* in `run`, `run_naive`, one-cycle `run_for`
+//! slices and the fleet, under every arbitration policy, even when
+//! backoff delays open fast-forwardable gaps that straddle the detection
+//! point.
 
 use glsc_isa::{Program, ProgramBuilder, Reg};
-use glsc_sim::{ArbitrationPolicy, Machine, MachineConfig, SimError};
+use glsc_sim::{
+    ArbitrationPolicy, Fleet, FleetJob, Machine, MachineConfig, RunReport, SimError, SlicedRun,
+};
 
 const LINE: i64 = 0x4000;
 
@@ -52,6 +55,16 @@ fn duel_program(iters: i64, delay: bool) -> Program {
     b.bind(done).unwrap();
     b.halt();
     b.build().unwrap()
+}
+
+/// Runs `m` to the end through `run_for` slices of one cycle each.
+fn run_one_cycle_slices(m: &mut Machine) -> Result<RunReport, SimError> {
+    let mut run = SlicedRun::new(m);
+    loop {
+        if let Some(report) = m.run_for(&mut run, 1)? {
+            return Ok(report);
+        }
+    }
 }
 
 fn duel_cfg(threshold: u64, policy: ArbitrationPolicy) -> MachineConfig {
@@ -127,10 +140,13 @@ fn uncontended_sc_never_trips_the_detector() {
 
 /// The satellite regression: with an arbitration window in play and
 /// `divu` delays opening fast-forwardable gaps that straddle the
-/// detection deadline, `run` and `run_naive` must report the *identical*
-/// starvation error — same cycle, same thread, same census.
+/// detection deadline, `run`, `run_naive`, one-cycle `run_for` slices and
+/// the fleet must report the *identical* starvation error — same cycle,
+/// same thread, same census.
 #[test]
 fn run_and_run_naive_starve_at_the_same_cycle() {
+    let mut fleet_jobs = Vec::new();
+    let mut expected = Vec::new();
     for policy in [
         ArbitrationPolicy::Free,
         ArbitrationPolicy::NackHoldoff { window: 64 },
@@ -145,14 +161,38 @@ fn run_and_run_naive_starve_at_the_same_cycle() {
             naive.load_program(duel_program(50_000, delay));
             let naive_err = naive.run_naive().expect_err("naive path must starve");
 
+            let mut sliced = Machine::new(duel_cfg(6, policy));
+            sliced.load_program(duel_program(50_000, delay));
+            let sliced_err = run_one_cycle_slices(&mut sliced).expect_err("slices must starve");
+
             assert_eq!(
                 fast_err, naive_err,
                 "run/run_naive diverged ({policy:?}, delay={delay})"
+            );
+            assert_eq!(
+                fast_err, sliced_err,
+                "run/run_for diverged ({policy:?}, delay={delay})"
             );
             assert!(
                 matches!(fast_err, SimError::Starvation { gid: 1, .. }),
                 "unexpected error ({policy:?}, delay={delay}): {fast_err:?}"
             );
+            fleet_jobs.push(FleetJob::new(
+                duel_cfg(6, policy),
+                duel_program(50_000, delay),
+            ));
+            expected.push((format!("{policy:?}, delay={delay}"), fast_err));
         }
     }
+    let mut finished = 0;
+    Fleet::new()
+        .with_width(2)
+        .with_quantum(5)
+        .run_each(fleet_jobs, |i, _, result| {
+            let (name, fast_err) = &expected[i];
+            let err = result.expect_err("fleet job must starve");
+            assert_eq!(&err, fast_err, "run/fleet diverged ({name})");
+            finished += 1;
+        });
+    assert_eq!(finished, expected.len());
 }

@@ -7,7 +7,9 @@
 //! case prints its seed on failure for reproduction.
 
 use glsc::isa::{AluOp, CmpOp, FpOp, MReg, Program, ProgramBuilder, Reg, VReg};
-use glsc::sim::{reference, Machine, MachineConfig};
+use glsc::sim::{
+    reference, Fleet, FleetJob, Machine, MachineConfig, RunReport, SimError, SlicedRun,
+};
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
 
@@ -318,6 +320,17 @@ fn assemble(ops: &[Op], width: usize) -> Program {
     b.build().expect("straight-line program assembles")
 }
 
+/// Runs `m` to the end through `run_for` slices of one cycle each, so
+/// every cycle crosses a slice boundary.
+fn run_one_cycle_slices(m: &mut Machine) -> Result<RunReport, SimError> {
+    let mut run = SlicedRun::new(m);
+    loop {
+        if let Some(report) = m.run_for(&mut run, 1)? {
+            return Ok(report);
+        }
+    }
+}
+
 fn initial_memory() -> Vec<u32> {
     (0..WINDOW_WORDS)
         .map(|i| i.wrapping_mul(2654435761))
@@ -387,11 +400,23 @@ fn machine_matches_functional_reference() {
 /// The event-driven fast-forward in `Machine::run` must be an invisible
 /// optimization: its `RunReport` (cycles, every per-thread stall counter,
 /// memory/LSU/GSU stats) and final memory must be identical to the naive
-/// single-stepped loop, on random programs across machine shapes.
+/// single-stepped loop, on random programs across machine shapes. So must
+/// every other way into the stepping loop: one-cycle `run_for` slices and
+/// the fleet.
 #[test]
 fn fast_forward_matches_naive_random_programs() {
     const SHAPES: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
     const WIDTHS: [usize; 3] = [1, 4, 8];
+    let mut image = glsc::mem::Backing::new();
+    image.write_u32_slice(WINDOW_BASE as u64, &initial_memory());
+    let image = image.freeze();
+    let window = |m: &Machine| {
+        m.mem()
+            .backing()
+            .read_u32_vec(WINDOW_BASE as u64, WINDOW_WORDS as usize)
+    };
+    let mut fleet_jobs = Vec::new();
+    let mut expected = Vec::new();
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xD1FF_0002 ^ seed);
         let n = rng.random_range(1..40usize);
@@ -413,27 +438,59 @@ fn fast_forward_matches_naive_random_programs() {
         let mut naive = build();
         let naive_report = naive.run_naive().expect("naive run succeeds");
 
+        let mut sliced = build();
+        let sliced_report = run_one_cycle_slices(&mut sliced).expect("sliced run succeeds");
+
         assert_eq!(
             fast_report, naive_report,
             "seed {seed} ({cores}x{tpc} w{width}): report diverged"
         );
-        for w in 0..WINDOW_WORDS as u64 {
-            let addr = WINDOW_BASE as u64 + 4 * w;
-            assert_eq!(
-                fast.mem().backing().read_u32(addr),
-                naive.mem().backing().read_u32(addr),
-                "seed {seed}: memory diverged at word {w}"
-            );
-        }
+        assert_eq!(
+            fast_report, sliced_report,
+            "seed {seed} ({cores}x{tpc} w{width}): one-cycle slices diverged"
+        );
+        assert_eq!(
+            window(&fast),
+            window(&naive),
+            "seed {seed}: memory diverged"
+        );
+        assert_eq!(
+            window(&fast),
+            window(&sliced),
+            "seed {seed}: sliced memory diverged"
+        );
+        fleet_jobs.push(
+            FleetJob::new(MachineConfig::paper(cores, tpc, width), program)
+                .with_base(image.clone()),
+        );
+        expected.push((fast_report, window(&fast)));
     }
+    let mut finished = 0;
+    Fleet::new()
+        .with_width(3)
+        .with_quantum(7)
+        .run_each(fleet_jobs, |seed, m, result| {
+            let report = result.expect("fleet run succeeds");
+            assert_eq!(report, expected[seed].0, "seed {seed}: fleet diverged");
+            assert_eq!(
+                window(m),
+                expected[seed].1,
+                "seed {seed}: fleet memory diverged"
+            );
+            finished += 1;
+        });
+    assert_eq!(finished, expected.len());
 }
 
 /// Fast-forward vs naive on the real workloads: all seven kernels, both
-/// variants, across the four Fig. 6 machine shapes at tiny scale.
+/// variants, across the four Fig. 6 machine shapes at tiny scale — and
+/// one-cycle `run_for` slices and the fleet against both.
 #[test]
 fn fast_forward_matches_naive_all_kernels() {
     use glsc::kernels::{build_named, Dataset, Variant, KERNEL_NAMES};
     const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
+    let mut fleet_jobs = Vec::new();
+    let mut expected = Vec::new();
     for kernel in KERNEL_NAMES {
         for (cores, tpc) in SHAPES {
             for variant in [Variant::Base, Variant::Glsc] {
@@ -451,11 +508,31 @@ fn fast_forward_matches_naive_all_kernels() {
                 let naive = build().run_naive().unwrap_or_else(|e| {
                     panic!("{kernel} {cores}x{tpc} {variant:?}: naive run failed: {e}")
                 });
+                let sliced = run_one_cycle_slices(&mut build()).unwrap_or_else(|e| {
+                    panic!("{kernel} {cores}x{tpc} {variant:?}: sliced run failed: {e}")
+                });
                 assert_eq!(
                     fast, naive,
                     "{kernel} {cores}x{tpc} {variant:?}: fast-forward report diverged from naive"
                 );
+                assert_eq!(
+                    fast, sliced,
+                    "{kernel} {cores}x{tpc} {variant:?}: one-cycle slices diverged"
+                );
+                fleet_jobs.push(FleetJob::new(cfg, w.program).with_base(w.image.publish()));
+                expected.push((format!("{kernel} {cores}x{tpc} {variant:?}"), fast));
             }
         }
     }
+    let mut finished = 0;
+    Fleet::new()
+        .with_width(3)
+        .with_quantum(97)
+        .run_each(fleet_jobs, |i, _, result| {
+            let (name, fast) = &expected[i];
+            let report = result.unwrap_or_else(|e| panic!("{name}: fleet run failed: {e}"));
+            assert_eq!(&report, fast, "{name}: fleet report diverged");
+            finished += 1;
+        });
+    assert_eq!(finished, expected.len());
 }

@@ -103,9 +103,12 @@ fn codec_round_trips_on_ring_with_active_fault_plan() {
 #[test]
 fn sliced_checkpoint_loop_matches_solo_run() {
     // The service's supervision loop in miniature: advance in fixed
-    // cycle budgets via `run_for`, and at every pause round-trip the
-    // machine through the byte codec — exactly what a checkpoint-every-N
-    // cadence does. The final report must match an uninterrupted run.
+    // cycle budgets via `run_for`, and at pauses at least 500 cycles
+    // apart round-trip the machine through the byte codec — exactly what
+    // a checkpoint cadence does (budgets of 500 and up checkpoint at every
+    // pause). The final report must match an uninterrupted run, and no
+    // paused slice may end before its budget is spent (a fast-forward
+    // jump may carry it past the budget).
     for kernel in ["HIP", "TMS", "GBC"] {
         let cfg = MachineConfig::paper(2, 2, 4);
         let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
@@ -113,32 +116,45 @@ fn sliced_checkpoint_loop_matches_solo_run() {
         let mut solo = machine_for(&w, &cfg, None);
         let baseline = solo.run().unwrap_or_else(|e| panic!("{kernel}: {e}"));
 
-        let mut m = machine_for(&w, &cfg, None);
-        let mut run = SlicedRun::new(&m);
-        let mut checkpoints = 0u32;
-        let report = loop {
-            match m
-                .run_for(&mut run, 500)
-                .unwrap_or_else(|e| panic!("{kernel}: {e}"))
-            {
-                Some(report) => break report,
-                None => {
-                    let bytes = m.snapshot().to_bytes();
-                    let decoded = MachineSnapshot::from_bytes(&bytes)
-                        .unwrap_or_else(|e| panic!("{kernel}: checkpoint decode failed: {e}"));
-                    m = Machine::from_snapshot(&decoded);
-                    run = SlicedRun::new(&m);
-                    checkpoints += 1;
+        for budget in [1, 500, 1000] {
+            let mut m = machine_for(&w, &cfg, None);
+            let mut run = SlicedRun::new(&m);
+            let mut checkpoints = 0u32;
+            let mut next_checkpoint = 0;
+            let report = loop {
+                let start = m.cycle();
+                match m
+                    .run_for(&mut run, budget)
+                    .unwrap_or_else(|e| panic!("{kernel}: {e}"))
+                {
+                    Some(report) => break report,
+                    None => {
+                        assert!(
+                            m.cycle() >= start + budget,
+                            "{kernel}: slice from {start} with budget {budget} paused at {}",
+                            m.cycle()
+                        );
+                        if m.cycle() < next_checkpoint {
+                            continue;
+                        }
+                        next_checkpoint = m.cycle() + 500;
+                        let bytes = m.snapshot().to_bytes();
+                        let decoded = MachineSnapshot::from_bytes(&bytes)
+                            .unwrap_or_else(|e| panic!("{kernel}: checkpoint decode failed: {e}"));
+                        m = Machine::from_snapshot(&decoded);
+                        run = SlicedRun::new(&m);
+                        checkpoints += 1;
+                    }
                 }
-            }
-        };
-        assert!(checkpoints > 2, "{kernel}: budget too large, loop vacuous");
-        assert_eq!(
-            report, baseline,
-            "{kernel}: checkpoint-loop run diverged from solo run"
-        );
-        (w.validate)(m.mem().backing())
-            .unwrap_or_else(|e| panic!("{kernel}: checkpoint-loop run failed validation: {e}"));
+            };
+            assert!(checkpoints > 2, "{kernel}: budget too large, loop vacuous");
+            assert_eq!(
+                report, baseline,
+                "{kernel} budget {budget}: checkpoint-loop run diverged from solo run"
+            );
+            (w.validate)(m.mem().backing())
+                .unwrap_or_else(|e| panic!("{kernel}: checkpoint-loop run failed validation: {e}"));
+        }
     }
 }
 
